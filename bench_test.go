@@ -243,15 +243,15 @@ func BenchmarkBuildFatFractahedron(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteAllPairs measures table-walk routing over all 4032 pairs of
-// the 64-node fat fractahedron.
+// BenchmarkRouteAllPairs measures the route-set sweep over all 4032 pairs
+// of the 64-node fat fractahedron.
 func BenchmarkRouteAllPairs(b *testing.B) {
 	f := topology.NewFractahedron(topology.Tetra(2, true))
 	tb := routing.Fractahedron(f)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tb.AllRoutes(); err != nil {
-			b.Fatal(err)
+		if rs := tb.Sweep(); rs.Reached != 64*63 {
+			b.Fatalf("reached %d of %d pairs: %v", rs.Reached, rs.Pairs, rs.Err())
 		}
 	}
 }

@@ -19,9 +19,8 @@
 // A spawn with no obligation, an unverifiable one, or a statically
 // unresolvable spawned function is reported: this is the analyzer a
 // deadlock-freedom certificate leans on, so it is loud where the graph is
-// blind. These are exactly the shutdown paths PR 6 audited by hand
-// (runner.Map, routing.ForAllPairs, sim.shardPool); this analyzer pins
-// that audit in CI.
+// blind. These are exactly the shutdown paths audited by hand
+// (runner.Map, sim.shardPool); this analyzer pins that audit in CI.
 package goleak
 
 import (

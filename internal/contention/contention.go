@@ -55,42 +55,35 @@ func MaxLinkContention(t *routing.Tables) (Result, error) {
 // experiments use the filter to reproduce that figure alongside the
 // unrestricted metric.
 func MaxLinkContentionFiltered(t *routing.Tables, keep func(topology.ChannelID) bool) (Result, error) {
-	// The all-pairs route sweep runs on a worker pool; per-channel transfer
-	// lists are sorted before matching so the result does not depend on the
-	// worker count.
-	perChannel := make(map[topology.ChannelID][]Transfer)
-	err := t.ForAllPairs(0,
-		func() any { return make(map[topology.ChannelID][]Transfer) },
-		func(acc any, r routing.Route) error {
-			m := acc.(map[topology.ChannelID][]Transfer)
-			for _, ch := range r.Channels {
-				if !interRouter(t.Net, ch) || !keep(ch) {
-					continue
-				}
-				m[ch] = append(m[ch], Transfer{r.Src, r.Dst})
-			}
-			return nil
-		},
-		func(acc any) error {
-			for ch, pairs := range acc.(map[topology.ChannelID][]Transfer) {
-				perChannel[ch] = append(perChannel[ch], pairs...)
-			}
-			return nil
-		})
-	if err != nil {
+	rs := t.Sweep()
+	if err := rs.Err(); err != nil {
 		return Result{}, err
 	}
-	for _, pairs := range perChannel {
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].Src != pairs[j].Src {
-				return pairs[i].Src < pairs[j].Src
+	// Walking sources in the outer loop lists each channel's transfers in
+	// ascending (src, dst) order.
+	perChannel := make(map[topology.ChannelID][]Transfer)
+	n := t.Net.NumNodes()
+	var path []topology.ChannelID
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
 			}
-			return pairs[i].Dst < pairs[j].Dst
-		})
+			path = rs.AppendPath(path[:0], s, d)
+			for _, ch := range path {
+				if interRouter(t.Net, ch) && keep(ch) {
+					perChannel[ch] = append(perChannel[ch], Transfer{s, d})
+				}
+			}
+		}
 	}
+	return matchChannels(perChannel), nil
+}
 
+// matchChannels solves every channel's matching problem and reports the
+// worst, visiting channels in ascending order for reproducible witnesses.
+func matchChannels(perChannel map[topology.ChannelID][]Transfer) Result {
 	res := Result{Max: 1, WorstChannel: -1, PerChannel: make(map[topology.ChannelID]int, len(perChannel))}
-	// Deterministic iteration order for reproducible witnesses.
 	channels := make([]topology.ChannelID, 0, len(perChannel))
 	for ch := range perChannel {
 		channels = append(channels, ch)
@@ -105,7 +98,7 @@ func MaxLinkContentionFiltered(t *routing.Tables, keep func(topology.ChannelID) 
 			res.Witness = witness
 		}
 	}
-	return res, nil
+	return res
 }
 
 // channelContention solves the matching problem for one channel's pairs.
@@ -161,22 +154,7 @@ func MaxLinkContentionPairs(t *routing.Tables, pairs []Transfer) (Result, error)
 			perChannel[ch] = append(perChannel[ch], p)
 		}
 	}
-	res := Result{Max: 1, WorstChannel: -1, PerChannel: make(map[topology.ChannelID]int, len(perChannel))}
-	channels := make([]topology.ChannelID, 0, len(perChannel))
-	for ch := range perChannel {
-		channels = append(channels, ch)
-	}
-	sort.Slice(channels, func(i, j int) bool { return channels[i] < channels[j] })
-	for _, ch := range channels {
-		size, witness := channelContention(perChannel[ch])
-		res.PerChannel[ch] = size
-		if size > res.Max || (size == res.Max && res.WorstChannel < 0) {
-			res.Max = size
-			res.WorstChannel = ch
-			res.Witness = witness
-		}
-	}
-	return res, nil
+	return matchChannels(perChannel), nil
 }
 
 // ContentionOfSet computes, for an explicit transfer set (e.g. the database

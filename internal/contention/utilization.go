@@ -29,25 +29,24 @@ func Utilization(t *routing.Tables) (UtilizationProfile, error) {
 			p.PerChannel[ch] = 0
 		}
 	}
-	err := t.ForAllPairs(0,
-		func() any { return make(map[topology.ChannelID]int) },
-		func(acc any, r routing.Route) error {
-			m := acc.(map[topology.ChannelID]int)
-			for _, ch := range r.Channels {
-				m[ch]++
+	rs := t.Sweep()
+	if err := rs.Err(); err != nil {
+		return UtilizationProfile{}, err
+	}
+	n := t.Net.NumNodes()
+	var path []topology.ChannelID
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
 			}
-			return nil
-		},
-		func(acc any) error {
-			for ch, c := range acc.(map[topology.ChannelID]int) {
+			path = rs.AppendPath(path[:0], s, d)
+			for _, ch := range path {
 				if _, ok := p.PerChannel[ch]; ok {
-					p.PerChannel[ch] += c
+					p.PerChannel[ch]++
 				}
 			}
-			return nil
-		})
-	if err != nil {
-		return UtilizationProfile{}, err
+		}
 	}
 	first := true
 	total := 0

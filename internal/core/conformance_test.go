@@ -13,7 +13,7 @@ import (
 // system must route all pairs, be deadlock-free under its shipped routing,
 // survive a random load in the simulator with in-order delivery, and
 // compile a verifiable routing-table image. It sweeps the same
-// BuiltinSpecs registry that `deadlockcheck -all` certifies in CI, so the
+// BuiltinSpecs registry that `fabricver -all` certifies in CI, so the
 // static and dynamic matrices cannot drift apart.
 func TestConformanceMatrix(t *testing.T) {
 	for _, spec := range BuiltinSpecs() {

@@ -2,7 +2,7 @@ package core
 
 // BuiltinSpecs returns one ParseSystem spec for every built-in topology
 // kind crossed with each of its shipped deadlock-free routing variants —
-// the matrix `deadlockcheck -all` re-certifies on every commit and the
+// the matrix `fabricver -all` re-certifies on every commit and the
 // conformance tests sweep. Every entry must analyze deadlock-free; the
 // deliberately unsafe demonstration configurations (ring:...,unsafe, the
 // torus figures) are excluded because they exist to exhibit cycles.

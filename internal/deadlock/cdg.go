@@ -6,10 +6,10 @@
 //
 // Because every routing algorithm in this repository is destination-based
 // and table-driven, the CDG's edge set coincides exactly with the set of
-// router turns the routes use; the package verifies that equivalence, which
-// is what lets ServerNet's path-disable registers (§2.4) enforce the
-// analyzed dependency structure in hardware even against corrupted routing
-// tables.
+// router turns the routes use (routing.RouteSet derives both from one
+// sweep), which is what lets ServerNet's path-disable registers (§2.4)
+// enforce the analyzed dependency structure in hardware even against
+// corrupted routing tables.
 package deadlock
 
 import (
@@ -36,56 +36,40 @@ type Report struct {
 	Order []int
 }
 
-// BuildCDG routes every ordered node pair through the tables and returns
-// the channel dependency graph: vertex i is channel i, and an edge c1 -> c2
-// means some route crosses c1 immediately followed by c2.
-func BuildCDG(t *routing.Tables) (*graph.Digraph, error) {
-	// The all-pairs sweep runs on a worker pool; dependency edges are
-	// deduplicated and sorted before insertion so the graph (and any
-	// witness cycle extracted from it) is independent of the worker count.
-	seen := make(map[[2]topology.ChannelID]bool)
-	err := t.ForAllPairs(0,
-		func() any { return make(map[[2]topology.ChannelID]bool) },
-		func(acc any, r routing.Route) error {
-			m := acc.(map[[2]topology.ChannelID]bool)
-			for i := 1; i < len(r.Channels); i++ {
-				m[[2]topology.ChannelID{r.Channels[i-1], r.Channels[i]}] = true
+// BuildCDG returns the channel dependency graph of a route set: vertex i
+// is channel i, and an edge c1 -> c2 means some route crosses c1
+// immediately followed by c2. It is the projection of the (channel, VC)
+// graph onto physical channels, with edges inserted in ascending (c1, c2)
+// order so the graph — and any witness cycle extracted from it — is
+// reproducible.
+func BuildCDG(rs *routing.RouteSet) *graph.Digraph {
+	v := rs.Tables.NumVC()
+	g := graph.NewDigraph(rs.Tables.Net.NumChannels())
+	for c := 0; c < g.N(); c++ {
+		var succ []int
+		for a := c * v; a < (c+1)*v; a++ {
+			for _, b := range rs.Deps[a] {
+				succ = append(succ, b/v)
 			}
-			return nil
-		},
-		func(acc any) error {
-			for key := range acc.(map[[2]topology.ChannelID]bool) {
-				seen[key] = true
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	edges := make([][2]topology.ChannelID, 0, len(seen))
-	for key := range seen {
-		edges = append(edges, key)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
 		}
-		return edges[i][1] < edges[j][1]
-	})
-	g := graph.NewDigraph(t.Net.NumChannels())
-	for _, e := range edges {
-		g.AddEdge(int(e[0]), int(e[1]))
+		sort.Ints(succ)
+		for i, c2 := range succ {
+			if i == 0 || c2 != succ[i-1] {
+				g.AddEdge(c, c2)
+			}
+		}
 	}
-	return g, nil
+	return g
 }
 
 // Analyze builds the CDG for a routing and reports whether it is
 // deadlock-free, with either a witness cycle or a numbering certificate.
 func Analyze(t *routing.Tables) (Report, error) {
-	g, err := BuildCDG(t)
-	if err != nil {
+	rs := t.Sweep()
+	if err := rs.Err(); err != nil {
 		return Report{}, err
 	}
+	g := BuildCDG(rs)
 	rep := Report{
 		Net:       t.Net,
 		Algorithm: t.Algorithm,
@@ -125,42 +109,4 @@ func (r Report) String() string {
 		fmt.Fprintf(&sb, "  %s\n", r.Net.ChannelString(c))
 	}
 	return strings.TrimRight(sb.String(), "\n")
-}
-
-// VerifyTurnEquivalence checks that the CDG's edges are exactly the turns
-// the routes use (one dependency per used turn per router). This is the
-// property that makes §2.4's path-disable enforcement exact: disabling all
-// unused turns permits precisely the analyzed dependencies and nothing
-// more.
-func VerifyTurnEquivalence(t *routing.Tables) error {
-	g, err := BuildCDG(t)
-	if err != nil {
-		return err
-	}
-	turns, err := t.UsedTurns()
-	if err != nil {
-		return err
-	}
-	turnCount := 0
-	for _, m := range turns {
-		turnCount += len(m)
-	}
-	if g.M() != turnCount {
-		return fmt.Errorf("deadlock: %d CDG dependencies != %d used turns", g.M(), turnCount)
-	}
-	// Every CDG edge corresponds to an enabled turn.
-	for c := 0; c < g.N(); c++ {
-		for _, c2 := range g.Out(c) {
-			dev := t.Net.ChannelDst(topology.ChannelID(c)).Device
-			in := t.Net.ChannelDst(topology.ChannelID(c)).Port
-			out := t.Net.ChannelSrc(topology.ChannelID(c2)).Port
-			if !turns[dev][routing.Turn{In: in, Out: out}] {
-				return fmt.Errorf("deadlock: dependency %s => %s uses a disabled turn (%d->%d at %s)",
-					t.Net.ChannelString(topology.ChannelID(c)),
-					t.Net.ChannelString(topology.ChannelID(c2)),
-					in, out, t.Net.Device(dev).Name)
-			}
-		}
-	}
-	return nil
 }

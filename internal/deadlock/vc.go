@@ -14,34 +14,17 @@ import (
 // topology if the VC assignment breaks every loop — the §2 alternative the
 // paper weighs against topology-based avoidance.
 
-// BuildCDGVC routes every pair and returns the dependency graph over
-// (channel, VC) vertices; vertex index is channel*V + vc.
-func BuildCDGVC(t *routing.Tables) (*graph.Digraph, error) {
-	v := t.NumVC()
-	g := graph.NewDigraph(t.Net.NumChannels() * v)
-	seen := make(map[[2]int]bool)
-	n := t.Net.NumNodes()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			r, err := t.Route(s, d)
-			if err != nil {
-				return nil, err
-			}
-			for i := 1; i < len(r.Channels); i++ {
-				a := int(r.Channels[i-1])*v + r.VCAt(i-1)
-				b := int(r.Channels[i])*v + r.VCAt(i)
-				key := [2]int{a, b}
-				if !seen[key] {
-					seen[key] = true
-					g.AddEdge(a, b)
-				}
-			}
+// BuildCDGVC returns the dependency graph of a route set over (channel, VC)
+// vertices; vertex index is channel*V + vc. Edges are inserted in
+// ascending order.
+func BuildCDGVC(rs *routing.RouteSet) *graph.Digraph {
+	g := graph.NewDigraph(len(rs.Deps))
+	for a, succ := range rs.Deps {
+		for _, b := range succ {
+			g.AddEdge(a, b)
 		}
 	}
-	return g, nil
+	return g
 }
 
 // VCReport is the outcome of a VC-aware CDG analysis.
@@ -69,10 +52,11 @@ type VCChannel struct {
 // AnalyzeVC builds the (channel, VC) dependency graph and reports freedom,
 // along with whether the plain physical-channel graph is cyclic.
 func AnalyzeVC(t *routing.Tables) (VCReport, error) {
-	g, err := BuildCDGVC(t)
-	if err != nil {
+	rs := t.Sweep()
+	if err := rs.Err(); err != nil {
 		return VCReport{}, err
 	}
+	g := BuildCDGVC(rs)
 	rep := VCReport{
 		Net:        t.Net,
 		Algorithm:  t.Algorithm,
@@ -91,11 +75,7 @@ func AnalyzeVC(t *routing.Tables) (VCReport, error) {
 		rep.Free = true
 	}
 
-	phys, err := BuildCDG(t)
-	if err != nil {
-		return VCReport{}, err
-	}
-	rep.PhysicalCyclic = !phys.Acyclic()
+	rep.PhysicalCyclic = !BuildCDG(rs).Acyclic()
 	return rep, nil
 }
 

@@ -255,22 +255,20 @@ func (d *Dual) SharedContention() (int, error) {
 // Reflexive reports whether a routing is reflexive: for every pair, the
 // reverse route uses exactly the same links (in opposite direction).
 func Reflexive(t *routing.Tables) (bool, error) {
+	rs := t.Sweep()
+	if err := rs.Err(); err != nil {
+		return false, err
+	}
 	n := t.Net.NumNodes()
+	var fwd, rev []topology.ChannelID
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			fwd, err := t.Route(a, b)
-			if err != nil {
-				return false, err
-			}
-			rev, err := t.Route(b, a)
-			if err != nil {
-				return false, err
-			}
-			if len(fwd.Channels) != len(rev.Channels) {
+			fwd, rev = rs.AppendPath(fwd[:0], a, b), rs.AppendPath(rev[:0], b, a)
+			if len(fwd) != len(rev) {
 				return false, nil
 			}
-			for i, ch := range fwd.Channels {
-				if rev.Channels[len(rev.Channels)-1-i] != t.Net.Reverse(ch) {
+			for i, ch := range fwd {
+				if rev[len(rev)-1-i] != t.Net.Reverse(ch) {
 					return false, nil
 				}
 			}

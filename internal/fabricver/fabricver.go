@@ -187,12 +187,12 @@ func Verify(sys *core.System, spec string, opt Options) Certificate {
 		return cert
 	}
 
-	// 2. One all-pairs sweep collects the dependency edges, used turns,
+	// 2. One route set yields the dependency edges, used turns,
 	// reachability and worst hops together.
-	sw := sweepPairs(sys.Tables)
-	cert.Reach = sw.reachCheck(net, cert.HopBound, violate)
-	cert.CDG = sw.cdgCheck(net, sys.Tables.NumVC(), violate)
-	cert.Disables = sw.disablesCheck(sys, violate)
+	rs := sys.Tables.Sweep()
+	cert.Reach = reachCheck(rs, cert.HopBound, violate)
+	cert.CDG = cdgCheck(rs, violate)
+	cert.Disables = disablesCheck(rs, sys, violate)
 
 	// 3. Single-fault enumeration over every link and every router.
 	if !opt.SkipFaults {

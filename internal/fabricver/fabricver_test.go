@@ -1,7 +1,6 @@
 package fabricver
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -217,30 +216,6 @@ func TestTetrahedronFaultAccounting(t *testing.T) {
 	}
 	if f.RouterFaults.Tried != 4 || f.RouterFaults.Survived != 4 || f.RouterFaults.SeveredPairs != 4*26 {
 		t.Fatalf("router faults = %+v, want 4 tried, 4 survived, 104 severed", f.RouterFaults)
-	}
-}
-
-// TestCertifySharedWithDeadlockcheck proves the certification table that
-// cmd/deadlockcheck -all delegates here: zero failures over the builtin
-// matrix and the exact verdict line.
-func TestCertifySharedWithDeadlockcheck(t *testing.T) {
-	rows, failures := CertifySpecs(core.BuiltinSpecs())
-	if failures != 0 {
-		t.Fatalf("%d builtin pairs failed certification", failures)
-	}
-	if len(rows) != len(core.BuiltinSpecs()) {
-		t.Fatalf("%d rows for %d specs", len(rows), len(core.BuiltinSpecs()))
-	}
-	var buf bytes.Buffer
-	WriteCertifyTable(&buf, rows, failures)
-	out := buf.String()
-	if !strings.Contains(out, "certified deadlock-free") {
-		t.Fatalf("verdict line missing:\n%s", out)
-	}
-	for _, r := range rows {
-		if r.CertSize == 0 || r.Channels == 0 {
-			t.Fatalf("degenerate certificate row: %+v", r)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package fabricver
 import (
 	"fmt"
 
+	"repro/internal/deadlock"
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/runner"
@@ -219,18 +220,18 @@ func verifyComponent(net *topology.Network, c component, skipLink topology.LinkI
 	// 2*diameter+1 over the degraded router graph.
 	bound, _ := hopBound(tb.Algorithm, routerDiameter(sub))
 
-	sw := sweepPairs(tb)
-	for _, f := range sw.failures {
+	rs := tb.Sweep()
+	for _, f := range failureLines(rs) {
 		out = append(out, fmt.Sprintf("%s: degraded fabric unreachable pair: %s", desc, f))
 	}
-	if sw.failTotal > maxDetail {
-		out = append(out, fmt.Sprintf("%s: degraded fabric unreachable pairs:%s", desc, capNote(sw.failTotal)))
+	if len(rs.Failures) > maxDetail {
+		out = append(out, fmt.Sprintf("%s: degraded fabric unreachable pairs:%s", desc, capNote(len(rs.Failures))))
 	}
-	if sw.maxHops > bound {
+	if rs.MaxHops > bound {
 		out = append(out, fmt.Sprintf("%s: degraded route takes %d router hops, exceeding the up*/down* bound %d",
-			desc, sw.maxHops, bound))
+			desc, rs.MaxHops, bound))
 	}
-	if cycle, cyclic := sw.cdg(sub.NumChannels(), tb.NumVC()).ShortestCycle(); cyclic {
+	if cycle, cyclic := deadlock.BuildCDGVC(rs).ShortestCycle(); cyclic {
 		lines := make([]string, len(cycle))
 		for i, vtx := range cycle {
 			lines[i] = vcChannelString(sub, vtx, tb.NumVC())
@@ -240,16 +241,13 @@ func verifyComponent(net *topology.Network, c component, skipLink topology.LinkI
 	}
 
 	// Recompute the path-disables for the degraded fabric (§2.4: the
-	// disable registers are reloaded to match the new tables). The swept
-	// turn sets are exactly the new dependency structure; a mismatch here
-	// means FromTurns and the sweep disagree on the fabric's turns.
-	dis := router.FromTurns(sub, sw.turns)
+	// disable registers are reloaded to match the new tables). The route
+	// set's turns are exactly the new dependency structure; a mismatch here
+	// means FromTurns and the route set disagree on the fabric's turns.
+	turns := rs.Turns()
+	dis := router.FromTurns(sub, turns)
 	enabled, _ := dis.Counts()
-	used := 0
-	for _, m := range sw.turns {
-		used += len(m)
-	}
-	if enabled != used {
+	if used := countTurns(turns); enabled != used {
 		out = append(out, fmt.Sprintf("%s: recomputed disables enable %d turns but routes use %d", desc, enabled, used))
 	}
 	return out

@@ -11,7 +11,8 @@ import (
 // single-entry corruptions of the tetrahedron's routing tables — holes,
 // out-of-range ports, self-loops, mis-ejections — must always yield a
 // certificate that either passes every check or carries a concrete
-// counterexample, and the two outcomes must agree with the OK flag. This
+// counterexample, and the two outcomes must agree with the OK flag; and
+// the route set must agree with per-pair Route walks on every pair. This
 // is the fuzzing face of §2.4: the paper's hardware survives corrupted
 // tables by path-disables; the verifier must survive them by diagnosis.
 func FuzzMutatedTetra(f *testing.F) {
@@ -44,6 +45,25 @@ func FuzzMutatedTetra(f *testing.F) {
 		}
 		if _, err := MarshalCertificate(cert); err != nil {
 			t.Fatalf("certificate does not marshal: %v", err)
+		}
+
+		// Differential oracle for the route set the certificate is built
+		// from: every pair's verdict and router-hop count match Route's.
+		rs := sys.Tables.Sweep()
+		for s := 0; s < net.NumNodes(); s++ {
+			for d := 0; d < net.NumNodes(); d++ {
+				if s == d {
+					continue
+				}
+				route, err := sys.Tables.Route(s, d)
+				want := route.RouterHops()
+				if err != nil {
+					want = -1
+				}
+				if got := rs.Hops(s, d); got != want {
+					t.Fatalf("%d -> %d: route set hops %d, Route %d (err %v)", s, d, got, want, err)
+				}
+			}
 		}
 	})
 }

@@ -2,14 +2,15 @@ package fabricver
 
 // Online (re)certification: the primitive an in-flight recovery controller
 // calls before hot-swapping freshly recomputed tables into a live
-// simulator. It is the same memoized all-pairs sweep and CDG analysis the
-// offline certificates are built from (sweep.go), stripped to the two
+// simulator. It is the same route set and CDG analysis the offline
+// certificates are built from (sweep.go), stripped to the two
 // properties a reconfiguration must establish — the new dependency graph is
 // acyclic (so even stale-route traffic stays deadlock-free under minimal
 // disables, §2.4) and every pair the degraded topology can still connect is
 // actually routed.
 
 import (
+	"repro/internal/deadlock"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -34,20 +35,18 @@ type LiveCheck struct {
 // the minimal path-disables from the exact dependency structure that was
 // just certified — the pair never goes out of sync.
 func CertifyLive(tb *routing.Tables) (LiveCheck, map[topology.DeviceID]map[routing.Turn]bool) {
-	sw := sweepPairs(tb)
+	rs := tb.Sweep()
+	turns := rs.Turns()
 	lc := LiveCheck{
-		Pairs:       sw.pairs,
-		Reached:     sw.reached,
-		Unreachable: sw.failTotal,
-		MaxHops:     sw.maxHops,
-		Failures:    append([]string(nil), sw.failures...),
-	}
-	for _, m := range sw.turns {
-		lc.UsedTurns += len(m)
+		Pairs:       rs.Pairs,
+		Reached:     rs.Reached,
+		Unreachable: len(rs.Failures),
+		MaxHops:     rs.MaxHops,
+		UsedTurns:   countTurns(turns),
+		Failures:    failureLines(rs),
 	}
 	numVC := tb.NumVC()
-	g := sw.cdg(tb.Net.NumChannels(), numVC)
-	if cycle, cyclic := g.ShortestCycle(); cyclic {
+	if cycle, cyclic := deadlock.BuildCDGVC(rs).ShortestCycle(); cyclic {
 		lc.MinimalCycle = make([]string, len(cycle))
 		for i, vtx := range cycle {
 			lc.MinimalCycle[i] = vcChannelString(tb.Net, vtx, numVC)
@@ -55,5 +54,5 @@ func CertifyLive(tb *routing.Tables) (LiveCheck, map[topology.DeviceID]map[routi
 	} else {
 		lc.Acyclic = true
 	}
-	return lc, sw.turns
+	return lc, turns
 }

@@ -2,255 +2,39 @@ package fabricver
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/deadlock"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
-// pairSweep is the result of routing every ordered node pair exactly once:
-// the channel-dependency edge set (over (channel, VC) vertices), the
-// per-router used-turn sets, the reachability tally and the worst
-// router-hop count with its witness pair. Pairs are visited in ascending
-// (dst, src) order, so every derived field — including the order of the
-// recorded failures and the worst-pair witness — is deterministic.
-type pairSweep struct {
-	pairs     int
-	reached   int
-	maxHops   int
-	worstSrc  int
-	worstDst  int
-	depList   []depEdge // one entry per first use; cdg() sorts and dedups
-	turns     map[topology.DeviceID]map[routing.Turn]bool
-	failures  []string // first maxDetail route failures, in (dst, src) order
-	failTotal int
+// failureLines renders a route set's unreachable pairs — the first
+// maxDetail of them, in (dst, src) order — as "src -> dst: reason".
+func failureLines(rs *routing.RouteSet) []string {
+	var lines []string
+	for _, f := range rs.Failures[:min(len(rs.Failures), maxDetail)] {
+		lines = append(lines, fmt.Sprintf("%d -> %d: %s", f.Src, f.Dst, f.Reason))
+	}
+	return lines
 }
 
-// depEdge is one channel-dependency occurrence between (channel, VC)
-// vertices a -> b.
-type depEdge struct{ a, b int32 }
-
-// walk statuses in the per-destination memo.
-const (
-	swUnknown = iota
-	swOK
-	swBad
-)
-
-// sweepPairs routes all ordered pairs through the tables. Route failures
-// (holes, out-of-range or unwired ports, loops) are collected, not fatal —
-// the sweep is also the engine behind the fault enumeration and the
-// fuzzed-table verification, both of which must keep going to count the
-// damage.
-//
-// Destination-indexed routing means the step taken at a device depends on
-// (device, destination) only, so the sweep walks each destination's
-// in-tree once with memoization: a walk stops at the first device whose
-// verdict toward the destination is already known and inherits it. That
-// turns the all-pairs cost from O(N² · path) into O(N · routers), which is
-// what makes re-sweeping every single-fault degradation of a 500-node
-// fabric tractable.
-func sweepPairs(tb *routing.Tables) *pairSweep {
-	net := tb.Net
-	sw := &pairSweep{turns: make(map[topology.DeviceID]map[routing.Turn]bool)}
-	v := tb.NumVC()
-	n := net.NumNodes()
-	nd := net.NumDevices()
-
-	// Per-destination memo, invalidated by stamping (stamp == dst+1) so no
-	// per-destination clearing pass is needed.
-	stamp := make([]int, nd)
-	status := make([]uint8, nd)
-	hops := make([]int32, nd)                // router hops from the device to dst
-	outCh := make([]topology.ChannelID, nd)  // channel the device forwards on
-	outV := make([]int32, nd)                // its (channel, VC) CDG vertex
-	failDev := make([]topology.DeviceID, nd) // device originating the failure
-	why := make([]string, nd)                // reason, set on the originating device
-
-	seen := make([]int, nd) // walk counter, for on-path loop detection
-	walkID := 0
-	path := make([]topology.DeviceID, 0, nd)
-
-	// walk explores from router r until it reaches a memoized device, a
-	// routing failure, or a loop, then seals the verdict onto every device
-	// it visited. On success it also records the newly discovered
-	// dependency edges and turns — each device's out-channel enters the
-	// dependency set exactly once per destination, in the walk that first
-	// reaches it.
-	walk := func(r topology.DeviceID, dst, ds int) {
-		walkID++
-		path = path[:0]
-		cur := r
-		loopAt := -1
-		for stamp[cur] != ds {
-			if seen[cur] == walkID {
-				for i, d := range path {
-					if d == cur {
-						loopAt = i
-						break
-					}
-				}
-				break
-			}
-			seen[cur] = walkID
-			path = append(path, cur)
-			dev := net.Device(cur)
-			var sealWhy string
-			if dev.Kind != topology.Router {
-				// A walk only ever enters a node by mis-routing: the
-				// destination node is pre-memoized and sources inject
-				// outside walk.
-				sealWhy = fmt.Sprintf("walk enters foreign end node %s", dev.Name)
-			} else if ch, vc, err := tb.Next(cur, dst); err != nil {
-				sealWhy = err.Error()
-			} else {
-				outCh[cur] = ch
-				outV[cur] = int32(int(ch)*v + vc)
-				cur = net.ChannelDst(ch).Device
-				continue
-			}
-			stamp[cur] = ds
-			status[cur] = swBad
-			failDev[cur] = cur
-			why[cur] = sealWhy
-			path = path[:len(path)-1]
-			break
-		}
-		if loopAt >= 0 {
-			// Every device from the loop entry onward fails at the loop.
-			entry := path[loopAt]
-			why[entry] = fmt.Sprintf("routing loop through %s", net.Device(entry).Name)
-			for _, d := range path[loopAt:] {
-				stamp[d] = ds
-				status[d] = swBad
-				failDev[d] = entry
-			}
-			cur = entry
-			path = path[:loopAt]
-		}
-		// cur is now sealed; unwind the explored prefix against its verdict.
-		bst, bfail := status[cur], failDev[cur]
-		h := hops[cur]
-		for i := len(path) - 1; i >= 0; i-- {
-			d := path[i]
-			stamp[d] = ds
-			status[d] = bst
-			if bst == swBad {
-				failDev[d] = bfail
-				continue
-			}
-			h++ // every unsealed path device on an OK walk is a router
-			hops[d] = h
-		}
-		if bst != swOK {
-			return
-		}
-		// The newly sealed segment's dependencies and turns: consecutive
-		// path devices, plus the junction into the memoized base (whose own
-		// downstream dependencies were recorded when it was first sealed).
-		for i := 1; i < len(path); i++ {
-			sw.depList = append(sw.depList, depEdge{outV[path[i-1]], outV[path[i]]})
-			sw.turn(path[i], net.ChannelDst(outCh[path[i-1]]).Port, net.ChannelSrc(outCh[path[i]]).Port)
-		}
-		if len(path) > 0 && net.Device(cur).Kind == topology.Router {
-			last := path[len(path)-1]
-			sw.depList = append(sw.depList, depEdge{outV[last], outV[cur]})
-			sw.turn(cur, net.ChannelDst(outCh[last]).Port, net.ChannelSrc(outCh[cur]).Port)
-		}
+// countTurns totals the per-router used-turn sets.
+func countTurns(turns map[topology.DeviceID]map[routing.Turn]bool) int {
+	n := 0
+	for _, m := range turns {
+		n += len(m)
 	}
-
-	for dst := 0; dst < n; dst++ {
-		ds := dst + 1
-		dstDev := net.NodeByIndex(dst)
-		stamp[dstDev] = ds
-		status[dstDev] = swOK
-		hops[dstDev] = 0
-
-		for s := 0; s < n; s++ {
-			if s == dst {
-				continue
-			}
-			sw.pairs++
-			src := net.NodeByIndex(s)
-			// Injection: sources always take their single port; a node's
-			// verdict as a walk victim (mis-routed into) differs from its
-			// verdict as a source, so sources are never memo-read.
-			ch, _, err := tb.Next(src, dst)
-			if err != nil {
-				sw.fail(s, dst, err.Error())
-				continue
-			}
-			r0 := net.ChannelDst(ch).Device
-			if stamp[r0] != ds {
-				walk(r0, dst, ds)
-			}
-			if status[r0] == swBad {
-				sw.fail(s, dst, why[failDev[r0]])
-				continue
-			}
-			sw.reached++
-			if h := int(hops[r0]); h > sw.maxHops {
-				sw.maxHops, sw.worstSrc, sw.worstDst = h, s, dst
-			}
-			if r0 != dstDev {
-				// Injection dependency and the first router's turn; the rest
-				// of the path was recorded when the walk sealed it.
-				injV := int32(int(ch) * v) // nodes inject on VC 0
-				sw.depList = append(sw.depList, depEdge{injV, outV[r0]})
-				sw.turn(r0, net.ChannelDst(ch).Port, net.ChannelSrc(outCh[r0]).Port)
-			}
-		}
-	}
-	return sw
-}
-
-// fail records one unreachable ordered pair.
-func (sw *pairSweep) fail(s, dst int, reason string) {
-	if len(sw.failures) < maxDetail {
-		sw.failures = append(sw.failures, fmt.Sprintf("%d -> %d: %s", s, dst, reason))
-	}
-	sw.failTotal++
-}
-
-// turn records one used (in port, out port) turn at a router.
-func (sw *pairSweep) turn(dev topology.DeviceID, in, out int) {
-	m := sw.turns[dev]
-	if m == nil {
-		m = make(map[routing.Turn]bool)
-		sw.turns[dev] = m
-	}
-	m[routing.Turn{In: in, Out: out}] = true
-}
-
-// cdg builds the dependency graph from the swept edge occurrences, sorted
-// and deduplicated so the graph — and any cycle extracted from it — is
-// reproducible.
-func (sw *pairSweep) cdg(numChannels, numVC int) *graph.Digraph {
-	edges := sw.depList
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
-		}
-		return edges[i].b < edges[j].b
-	})
-	g := graph.NewDigraph(numChannels * numVC)
-	for i, e := range edges {
-		if i > 0 && e == edges[i-1] {
-			continue
-		}
-		g.AddEdge(int(e.a), int(e.b))
-	}
-	return g
+	return n
 }
 
 // cdgCheck proves deadlock freedom by CDG acyclicity. When the graph is
 // cyclic the minimal dependency cycle is rendered channel by channel as
 // the counterexample; when acyclic, the Dally–Seitz numbering's size is
 // recorded as the certificate.
-func (sw *pairSweep) cdgCheck(net *topology.Network, numVC int, violate func(check, format string, args ...any)) CDGCheck {
-	g := sw.cdg(net.NumChannels(), numVC)
+func cdgCheck(rs *routing.RouteSet, violate func(check, format string, args ...any)) CDGCheck {
+	net, numVC := rs.Tables.Net, rs.Tables.NumVC()
+	g := deadlock.BuildCDGVC(rs)
 	cc := CDGCheck{Vertices: g.N(), Deps: g.M()}
 	if cycle, cyclic := g.ShortestCycle(); cyclic {
 		cc.MinimalCycle = make([]string, len(cycle))
@@ -272,31 +56,33 @@ func (sw *pairSweep) cdgCheck(net *topology.Network, numVC int, violate func(che
 	return cc
 }
 
-// reachCheck turns the sweep's tally into the endpoint-reachability
+// reachCheck turns the route set's tally into the endpoint-reachability
 // verdict: every ordered pair routed, within the analytical hop bound.
-func (sw *pairSweep) reachCheck(net *topology.Network, bound int, violate func(check, format string, args ...any)) ReachCheck {
+func reachCheck(rs *routing.RouteSet, bound int, violate func(check, format string, args ...any)) ReachCheck {
+	net := rs.Tables.Net
+	failTotal := len(rs.Failures)
 	rc := ReachCheck{
 		Pattern:     "cpu-disk-all-pairs",
-		Pairs:       sw.pairs,
-		Unreachable: sw.failTotal,
-		MaxHops:     sw.maxHops,
+		Pairs:       rs.Pairs,
+		Unreachable: failTotal,
+		MaxHops:     rs.MaxHops,
 	}
-	if sw.maxHops > 0 {
+	if rs.MaxHops > 0 {
 		rc.WorstPair = fmt.Sprintf("%s -> %s",
-			net.Device(net.NodeByIndex(sw.worstSrc)).Name,
-			net.Device(net.NodeByIndex(sw.worstDst)).Name)
+			net.Device(net.NodeByIndex(rs.WorstSrc)).Name,
+			net.Device(net.NodeByIndex(rs.WorstDst)).Name)
 	}
-	for _, f := range sw.failures {
+	for _, f := range failureLines(rs) {
 		violate("reachability", "unreachable pair: %s", f)
 	}
-	if sw.failTotal > maxDetail {
-		violate("reachability", "unreachable pairs:%s", capNote(sw.failTotal))
+	if failTotal > maxDetail {
+		violate("reachability", "unreachable pairs:%s", capNote(failTotal))
 	}
-	if sw.maxHops > bound {
+	if rs.MaxHops > bound {
 		violate("reachability", "route %s takes %d router hops, exceeding the analytical bound %d",
-			rc.WorstPair, sw.maxHops, bound)
+			rc.WorstPair, rs.MaxHops, bound)
 	}
-	rc.OK = sw.failTotal == 0 && sw.maxHops <= bound
+	rc.OK = failTotal == 0 && rs.MaxHops <= bound
 	return rc
 }
 
@@ -304,11 +90,9 @@ func (sw *pairSweep) reachCheck(net *topology.Network, bound int, violate func(c
 // loaded path-disable registers: every turn the swept dependencies use
 // must be enabled, and nothing beyond those turns may be enabled — the
 // hardware permits exactly the analyzed dependency structure.
-func (sw *pairSweep) disablesCheck(sys *core.System, violate func(check, format string, args ...any)) DisablesCheck {
-	dc := DisablesCheck{}
-	for _, m := range sw.turns {
-		dc.UsedTurns += len(m)
-	}
+func disablesCheck(rs *routing.RouteSet, sys *core.System, violate func(check, format string, args ...any)) DisablesCheck {
+	turns := rs.Turns()
+	dc := DisablesCheck{UsedTurns: countTurns(turns)}
 	enabled, _ := sys.Disables.Counts()
 	dc.EnabledTurns = enabled
 
@@ -319,7 +103,7 @@ func (sw *pairSweep) disablesCheck(sys *core.System, violate func(check, format 
 		if dev.Kind != topology.Router {
 			continue
 		}
-		used := sw.turns[dev.ID]
+		used := turns[dev.ID]
 		for in := 0; in < dev.Ports; in++ {
 			for out := 0; out < dev.Ports; out++ {
 				if in == out {

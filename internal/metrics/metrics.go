@@ -21,43 +21,31 @@ type HopStats struct {
 }
 
 // Hops routes every ordered pair through the tables and aggregates the
-// router-hop distribution. The all-pairs sweep fans out over a worker pool
-// sized to GOMAXPROCS; the result is independent of the worker count.
+// router-hop distribution.
 func Hops(t *routing.Tables) (HopStats, error) {
-	type accum struct {
-		hist  map[int]int
-		total int
-		pairs int
+	rs := t.Sweep()
+	if err := rs.Err(); err != nil {
+		return HopStats{}, err
 	}
 	st := HopStats{Min: -1, Histogram: make(map[int]int)}
 	total := 0
-	err := t.ForAllPairs(0,
-		func() any { return &accum{hist: make(map[int]int)} },
-		func(acc any, r routing.Route) error {
-			a := acc.(*accum)
-			h := r.RouterHops()
-			a.hist[h]++
-			a.pairs++
-			a.total += h
-			return nil
-		},
-		func(acc any) error {
-			a := acc.(*accum)
-			for h, c := range a.hist {
-				st.Histogram[h] += c
-				if st.Min < 0 || h < st.Min {
-					st.Min = h
-				}
-				if h > st.Max {
-					st.Max = h
-				}
+	n := t.Net.NumNodes()
+	for d := 0; d < n; d++ {
+		for s := 0; s < n; s++ {
+			if s == d {
+				continue
 			}
-			st.Pairs += a.pairs
-			total += a.total
-			return nil
-		})
-	if err != nil {
-		return HopStats{}, err
+			h := rs.Hops(s, d)
+			st.Histogram[h]++
+			if st.Min < 0 || h < st.Min {
+				st.Min = h
+			}
+			if h > st.Max {
+				st.Max = h
+			}
+			st.Pairs++
+			total += h
+		}
 	}
 	if st.Pairs > 0 {
 		st.Mean = float64(total) / float64(st.Pairs)
@@ -125,6 +113,10 @@ type StretchStats struct {
 
 // Stretch compares every pair's routed hop count to the BFS shortest path.
 func Stretch(t *routing.Tables) (StretchStats, error) {
+	rs := t.Sweep()
+	if err := rs.Err(); err != nil {
+		return StretchStats{}, err
+	}
 	g := t.Net.Ugraph()
 	// BFS from each node's attach point over the device graph; device
 	// distance between nodes = routers on the shortest path + 1... node to
@@ -138,21 +130,18 @@ func Stretch(t *routing.Tables) (StretchStats, error) {
 			if s == d {
 				continue
 			}
-			r, err := t.Route(s, d)
-			if err != nil {
-				return StretchStats{}, err
-			}
+			hops := rs.Hops(s, d)
 			shortest := dist[int(t.Net.NodeByIndex(d))] - 1
 			if shortest <= 0 {
 				return StretchStats{}, fmt.Errorf("metrics: degenerate shortest path %d->%d", s, d)
 			}
-			ratio := float64(r.RouterHops()) / float64(shortest)
+			ratio := float64(hops) / float64(shortest)
 			total += ratio
 			st.Pairs++
 			if ratio > st.Max {
 				st.Max = ratio
 			}
-			if r.RouterHops() > shortest {
+			if hops > shortest {
 				st.NonMinimal++
 			}
 		}

@@ -54,10 +54,10 @@ func FromTables(t *routing.Tables) (*Disables, error) {
 }
 
 // FromTurns builds the disable configuration enabling exactly the given
-// per-router turn sets. Callers that already swept every route (the fabric
-// verifier's fault enumeration, which collects turns and dependency edges
-// in one pass) use it to recompute path-disables for a degraded fabric
-// without routing all pairs a second time.
+// per-router turn sets. Callers that already hold a route set (the fabric
+// verifier's fault enumeration, online recertification) use it to
+// recompute path-disables for a degraded fabric without routing all pairs
+// a second time.
 func FromTurns(net *topology.Network, turns map[topology.DeviceID]map[routing.Turn]bool) *Disables {
 	d := &Disables{net: net, allowed: make(map[topology.DeviceID][][]bool)}
 	for _, dev := range net.Devices() {

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"sort"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // Region-table accounting. ServerNet routers route "by looking up entries
 // in the routing table inside each router" (§2.3), and real tables hold
@@ -45,12 +41,10 @@ type RegionStats struct {
 func (t *Tables) RegionSizes() RegionStats {
 	var st RegionStats
 	st.Min = -1
-	var all []int
-	for dev := range t.out {
-		all = append(all, int(dev))
-	}
-	sort.Ints(all)
-	for _, dev := range all {
+	for dev, row := range t.out {
+		if row == nil {
+			continue
+		}
 		r := t.Regions(topology.DeviceID(dev))
 		st.Total += r
 		st.Routers++

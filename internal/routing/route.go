@@ -47,7 +47,7 @@ func (r Route) RouterHops() int { return len(r.Devices) - 2 }
 type Tables struct {
 	Net       *topology.Network
 	Algorithm string
-	out       map[topology.DeviceID][]int
+	out       [][]int // indexed by DeviceID; nil rows for end nodes
 
 	// Virtual-channel assignment (see vc.go); zero-valued for single-VC
 	// routings.
@@ -63,7 +63,7 @@ type NextPortFunc func(router topology.DeviceID, dst int) int
 // Build compiles a next-port function into concrete tables for every router
 // of the network.
 func Build(net *topology.Network, algorithm string, next NextPortFunc) *Tables {
-	t := &Tables{Net: net, Algorithm: algorithm, out: make(map[topology.DeviceID][]int)}
+	t := &Tables{Net: net, Algorithm: algorithm, out: make([][]int, net.NumDevices())}
 	for _, d := range net.Devices() {
 		if d.Kind != topology.Router {
 			continue
@@ -79,11 +79,10 @@ func Build(net *topology.Network, algorithm string, next NextPortFunc) *Tables {
 
 // OutPort returns the table entry of a router for a destination address.
 func (t *Tables) OutPort(router topology.DeviceID, dst int) int {
-	row, ok := t.out[router]
-	if !ok {
+	if int(router) < 0 || int(router) >= len(t.out) || t.out[router] == nil {
 		panic(fmt.Sprintf("routing: device %d has no table", router))
 	}
-	return row[dst]
+	return t.out[router][dst]
 }
 
 // SetOutPort overrides one table entry. The fault-injection experiments use
@@ -94,9 +93,10 @@ func (t *Tables) SetOutPort(router topology.DeviceID, dst, port int) {
 }
 
 // Route walks the tables from node address src to node address dst and
-// returns the resulting path. It fails if a table entry is missing, leads
-// through an unwired port, or the walk exceeds the device count (a routing
-// loop).
+// returns the resulting path, taking every step through Next. It fails if a
+// table entry is missing, out of range or unwired, if the walk enters an end
+// node other than the destination, or if it exceeds the device count (a
+// routing loop).
 func (t *Tables) Route(src, dst int) (Route, error) {
 	if src == dst {
 		return Route{}, fmt.Errorf("routing: src == dst == %d", src)
@@ -104,7 +104,6 @@ func (t *Tables) Route(src, dst int) (Route, error) {
 	r := Route{Src: src, Dst: dst}
 	cur := t.Net.NodeByIndex(src)
 	dstDev := t.Net.NodeByIndex(dst)
-	port := 0 // end nodes have a single port
 	for steps := 0; ; steps++ {
 		if steps > t.Net.NumDevices() {
 			return Route{}, fmt.Errorf("routing[%s]: loop routing %d -> %d (path %v)",
@@ -114,27 +113,19 @@ func (t *Tables) Route(src, dst int) (Route, error) {
 		if cur == dstDev {
 			return r, nil
 		}
-		if steps > 0 {
-			// Routers consult their table; the source node injected on its
-			// only port (port 0) at step zero.
-			if t.Net.Device(cur).Kind != topology.Router {
-				return Route{}, fmt.Errorf("routing[%s]: walked into end node %s while routing %d -> %d",
-					t.Algorithm, t.Net.Device(cur).Name, src, dst)
-			}
-			port = t.OutPort(cur, dst)
-			if port < 0 {
-				return Route{}, fmt.Errorf("routing[%s]: no table entry at %s for dst %d",
-					t.Algorithm, t.Net.Device(cur).Name, dst)
-			}
+		// Only the source injects from an end node; any other end node on
+		// the path was entered by mis-routing.
+		if steps > 0 && t.Net.Device(cur).Kind != topology.Router {
+			return Route{}, fmt.Errorf("routing[%s]: walked into end node %s while routing %d -> %d",
+				t.Algorithm, t.Net.Device(cur).Name, src, dst)
 		}
-		ch, ok := t.Net.ChannelFromPort(cur, port)
-		if !ok {
-			return Route{}, fmt.Errorf("routing[%s]: %s port %d unwired (dst %d)",
-				t.Algorithm, t.Net.Device(cur).Name, port, dst)
+		ch, vc, err := t.Next(cur, dst)
+		if err != nil {
+			return Route{}, fmt.Errorf("routing[%s]: %d -> %d: %v", t.Algorithm, src, dst, err)
 		}
 		r.Channels = append(r.Channels, ch)
 		if t.vc != nil {
-			r.VCs = append(r.VCs, t.vcAt(cur, dst))
+			r.VCs = append(r.VCs, vc)
 		}
 		cur = t.Net.ChannelDst(ch).Device
 	}
@@ -143,11 +134,10 @@ func (t *Tables) Route(src, dst int) (Route, error) {
 // Next performs a single step of the walk Route performs: the channel (and
 // virtual channel) a packet at dev takes toward destination address dst.
 // Destination-indexed routing makes the step a function of (dev, dst)
-// alone — no source, no history — which is what lets whole-fabric sweeps
-// memoize walks per destination instead of re-walking every source (see
-// internal/fabricver). End nodes inject on their only port; routers consult
-// their table. Unlike Route, Next rejects out-of-range ports with an error
-// instead of panicking, so it is safe on arbitrarily corrupted tables.
+// alone — no source, no history — which is what lets Sweep memoize walks
+// per destination instead of re-walking every source. End nodes inject on
+// their only port; routers consult their table. Out-of-range ports are
+// errors, not panics, so Next is safe on arbitrarily corrupted tables.
 func (t *Tables) Next(dev topology.DeviceID, dst int) (topology.ChannelID, int, error) {
 	port := 0
 	d := t.Net.Device(dev)
@@ -167,42 +157,10 @@ func (t *Tables) Next(dev topology.DeviceID, dst int) (topology.ChannelID, int, 
 	return ch, t.vcAt(dev, dst), nil
 }
 
-// AllRoutes returns routes for every ordered pair of distinct node
-// addresses.
-func (t *Tables) AllRoutes() ([]Route, error) {
-	n := t.Net.NumNodes()
-	routes := make([]Route, 0, n*(n-1))
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			r, err := t.Route(s, d)
-			if err != nil {
-				return nil, err
-			}
-			routes = append(routes, r)
-		}
-	}
-	return routes, nil
-}
-
-// Verify routes every ordered pair and reports the first failure, if any.
-// It is the all-pairs reachability check builders and tests rely on.
-func (t *Tables) Verify() error {
-	n := t.Net.NumNodes()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			if _, err := t.Route(s, d); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// Verify routes every ordered pair and reports the first failure in
+// (dst, src) order, if any. It is the all-pairs reachability check builders
+// and tests rely on.
+func (t *Tables) Verify() error { return t.Sweep().Err() }
 
 // Turn is a (input port, output port) pair at a router.
 type Turn struct{ In, Out int }
@@ -212,29 +170,9 @@ type Turn struct{ In, Out int }
 // routers can disable all unused turns so that even a corrupted routing
 // table cannot re-introduce a dependency loop.
 func (t *Tables) UsedTurns() (map[topology.DeviceID]map[Turn]bool, error) {
-	used := make(map[topology.DeviceID]map[Turn]bool)
-	for _, d := range t.Net.Devices() {
-		if d.Kind == topology.Router {
-			used[d.ID] = make(map[Turn]bool)
-		}
+	rs := t.Sweep()
+	if err := rs.Err(); err != nil {
+		return nil, err
 	}
-	n := t.Net.NumNodes()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			r, err := t.Route(s, d)
-			if err != nil {
-				return nil, err
-			}
-			for i := 1; i < len(r.Channels); i++ {
-				dev := t.Net.ChannelDst(r.Channels[i-1]).Device
-				in := t.Net.ChannelDst(r.Channels[i-1]).Port
-				out := t.Net.ChannelSrc(r.Channels[i]).Port
-				used[dev][Turn{in, out}] = true
-			}
-		}
-	}
-	return used, nil
+	return rs.Turns(), nil
 }

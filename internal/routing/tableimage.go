@@ -38,13 +38,10 @@ type Region struct {
 // CompileImage compresses the tables into region form.
 func CompileImage(t *Tables) *TableImage {
 	img := &TableImage{Algorithm: t.Algorithm, Nodes: t.Net.NumNodes()}
-	var devs []int
-	for dev := range t.out {
-		devs = append(devs, int(dev))
-	}
-	sort.Ints(devs)
-	for _, dev := range devs {
-		row := t.out[topology.DeviceID(dev)]
+	for dev, row := range t.out {
+		if row == nil {
+			continue
+		}
 		ri := RouterImage{Device: topology.DeviceID(dev)}
 		for i := 0; i < len(row); {
 			j := i
